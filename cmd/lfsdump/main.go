@@ -89,27 +89,16 @@ func dumpCheckpoints(d *disk.Disk, sb *layout.Superblock) {
 	}
 }
 
-// walkSummaries calls fn for each valid summary in the segment's chain.
+// walkSummaries calls fn for each valid summary in the segment's current
+// chain, which ends before any stale tail from the segment's past life.
 func walkSummaries(d *disk.Disk, sb *layout.Superblock, seg int64, fn func(off int64, s *layout.Summary)) {
-	segBlocks := int64(sb.SegmentBlocks)
-	start := sb.SegmentBase + seg*segBlocks
-	off := int64(0)
-	for off <= segBlocks-2 {
-		buf, err := d.Peek(start + off)
-		if err != nil {
-			return
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			return
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > segBlocks {
-			return
-		}
-		fn(off, s)
-		off += 1 + n
-	}
+	start := sb.SegmentBase + seg*int64(sb.SegmentBlocks)
+	read := func(off int64) ([]byte, error) { return d.Peek(start + off) }
+	layout.WalkSegment(int64(sb.SegmentBlocks), 0, read, &layout.Summary{}, layout.SeqIncreasing(),
+		func(off int64, s *layout.Summary) error {
+			fn(off, s)
+			return nil
+		})
 }
 
 func dumpSegmentMap(d *disk.Disk, sb *layout.Superblock) {

@@ -89,3 +89,51 @@ func TestWalkSummariesEmptySegment(t *testing.T) {
 		t.Fatalf("walk visited %d summaries in a clean segment", called)
 	}
 }
+
+// A summary left from a segment's previous life, just past the current
+// chain, carries a lower WriteSeq: the listing must end at the chain end
+// rather than show the stale write as part of the segment.
+func TestWalkSummariesStopsAtStaleTail(t *testing.T) {
+	img := buildImage(t)
+	d, err := disk.Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbBuf, _ := d.Peek(0)
+	sb, err := layout.DecodeSuperblock(sbBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segBlocks := int64(sb.SegmentBlocks)
+	for seg := int64(0); seg < int64(sb.NumSegments); seg++ {
+		var writes int
+		var end int64
+		walkSummaries(d, sb, seg, func(off int64, s *layout.Summary) {
+			writes++
+			end = off + 1 + int64(len(s.Entries))
+		})
+		if writes == 0 || end+2 > segBlocks {
+			continue
+		}
+		stale := &layout.Summary{WriteSeq: 1, Entries: []layout.SummaryEntry{{Kind: layout.KindData, Inum: 7}}}
+		buf, err := stale.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Poke(sb.SegmentBase+seg*segBlocks+end, buf); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		walkSummaries(d, sb, seg, func(off int64, s *layout.Summary) {
+			got++
+			if off >= end {
+				t.Fatalf("listing shows the stale summary at offset %d (write seq %d)", off, s.WriteSeq)
+			}
+		})
+		if got != writes {
+			t.Fatalf("listing shows %d writes, want %d", got, writes)
+		}
+		return
+	}
+	t.Fatal("no segment with room after its summary chain")
+}

@@ -40,42 +40,38 @@ func (fs *FS) checkpointLocked() error {
 	fs.dirlogAddrs = nil
 
 	// Phase 1b: write the dirty inode map blocks and the whole segment
-	// usage table to the log. Their encoders run after placement, so the
-	// usage table captures its own new location.
-	for _, i := range fs.imap.dirtyBlocks() {
-		i := i
+	// usage table to the log. The usage blocks go last, in one partial
+	// write, so their encoders run after every checkpoint block has been
+	// placed: the table captures its own location and all the accounting
+	// of the checkpoint's writes. If the imap blocks do not fit in that
+	// write too, they go first; the usage blocks then move to a fresh
+	// segment if the head has no room left for them.
+	imapBlocks := fs.imap.dirtyBlocks()
+	for _, i := range imapBlocks {
 		fs.stage(stagedBlock{
-			entry: layout.SummaryEntry{Kind: layout.KindImap, Inum: uint32(i)},
-			age:   fs.now(),
-			encode: func() ([]byte, error) {
-				return fs.imap.encodeBlock(i)
-			},
-			placed: func(addr int64) error {
-				old := fs.imap.blockAddr[i]
-				fs.imap.blockAddr[i] = addr
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
-			},
+			entry:  layout.SummaryEntry{Kind: layout.KindImap, Inum: uint32(i)},
+			age:    fs.now(),
+			encode: func() ([]byte, error) { return fs.imap.encodeBlock(i) },
+			placed: func(addr int64) error { return fs.repoint(&fs.imap.blockAddr[i], addr) },
 		})
 	}
-	for i := 0; i < fs.usage.numBlocks(); i++ {
-		i := i
+	usageBlocks := fs.usage.numBlocks()
+	if len(imapBlocks)+usageBlocks > writeRoom(fs.segBlocks, fs.headOff) {
+		if err := fs.flushPending(); err != nil {
+			return err
+		}
+		if usageBlocks > writeRoom(fs.segBlocks, fs.headOff) {
+			if err := fs.advanceSegment(); err != nil {
+				return err
+			}
+		}
+	}
+	for i := 0; i < usageBlocks; i++ {
 		fs.stage(stagedBlock{
-			entry: layout.SummaryEntry{Kind: layout.KindSegUsage, Inum: uint32(i)},
-			age:   fs.now(),
-			encode: func() ([]byte, error) {
-				return fs.usage.encodeBlock(i)
-			},
-			placed: func(addr int64) error {
-				old := fs.usage.blockAddr[i]
-				fs.usage.blockAddr[i] = addr
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
-			},
+			entry:  layout.SummaryEntry{Kind: layout.KindSegUsage, Inum: uint32(i)},
+			age:    fs.now(),
+			encode: func() ([]byte, error) { return fs.usage.encodeBlock(i) },
+			placed: func(addr int64) error { return fs.repoint(&fs.usage.blockAddr[i], addr) },
 		})
 	}
 	if err := fs.flushPending(); err != nil {

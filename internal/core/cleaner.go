@@ -422,15 +422,9 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 	var lives []liveCopy
 	s := fs.getSummaryScratch()
 	defer fs.putSummaryScratch(s)
-	off := int64(0)
-	for off <= fs.segBlocks-2 {
-		if err := layout.DecodeSummaryInto(buf[off*layout.BlockSize:(off+1)*layout.BlockSize], s); err != nil {
-			break // end of the summary chain
-		}
+	read := func(off int64) ([]byte, error) { return buf[off*layout.BlockSize : (off+1)*layout.BlockSize], nil }
+	_, stop, err := layout.WalkSegment(fs.segBlocks, 0, read, s, layout.SeqIncreasing(), func(off int64, s *layout.Summary) error {
 		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
 		data := buf[(off+1)*layout.BlockSize : (off+1+n)*layout.BlockSize]
 		dataOK := layout.Checksum(data) == s.DataChecksum
 		if !dataOK {
@@ -445,13 +439,16 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 			}
 			added, err := fs.handleLiveEntry(e, addr, block)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if added != nil {
 				lives = append(lives, *added)
 			}
 		}
-		off += 1 + n
+		return nil
+	})
+	if stop == layout.WalkHalted {
+		return nil, err
 	}
 	return lives, nil
 }
@@ -469,32 +466,20 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 	var wants []want
 	s := fs.getSummaryScratch()
 	defer fs.putSummaryScratch(s)
-	off := int64(0)
-	for off <= fs.segBlocks-2 {
-		sumBuf, err := fs.readBlockRetry(start + off)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				// Without the summary the rest of the chain cannot be
-				// trusted; withdraw the segment instead of evacuating it.
-				fs.quarantineSeg(seg)
-				break
-			}
-			return nil, err
+	read := func(off int64) ([]byte, error) {
+		buf, err := fs.readBlockRetry(start + off)
+		if err == nil {
+			fs.stats.CleanerReadBytes += layout.BlockSize
+			fs.tr.Add(obs.CtrCleanerReadBytes, layout.BlockSize)
 		}
-		fs.stats.CleanerReadBytes += layout.BlockSize
-		fs.tr.Add(obs.CtrCleanerReadBytes, layout.BlockSize)
-		if err := layout.DecodeSummaryInto(sumBuf, s); err != nil {
-			break
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+		return buf, err
+	}
+	_, stop, err := layout.WalkSegment(fs.segBlocks, 0, read, s, layout.SeqIncreasing(), func(off int64, s *layout.Summary) error {
 		for i, e := range s.Entries {
 			addr := start + off + 1 + int64(i)
 			live, err := fs.blockLive(e, addr)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !live {
 				continue
@@ -507,11 +492,22 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 			default:
 				// Indirect/imap/usage/dirlog need no content.
 				if _, err := fs.handleLiveEntry(e, addr, nil); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
-		off += 1 + n
+		return nil
+	})
+	switch stop {
+	case layout.WalkReadError:
+		if !errors.Is(err, disk.ErrMediaRead) {
+			return nil, err
+		}
+		// Without the summary the rest of the chain cannot be trusted;
+		// withdraw the segment instead of evacuating it.
+		fs.quarantineSeg(seg)
+	case layout.WalkHalted:
+		return nil, err
 	}
 
 	// Read the wanted blocks, coalescing contiguous runs. Every block
@@ -667,14 +663,11 @@ func (fs *FS) stageLiveCopies(lives []liveCopy) error {
 			pooled: true, // handleLiveEntry drew it from the pool
 			age:    lc.age,
 			placed: func(addr int64) error {
-				old, err := fs.setBlockAddr(mi, lc.bn, addr)
+				slot, err := fs.blockSlot(mi, lc.bn)
 				if err != nil {
 					return err
 				}
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
+				return fs.repoint(slot, addr)
 			},
 		})
 	}

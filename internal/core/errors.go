@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
+	"repro/internal/layout"
 )
 
 // Errors returned by file system operations.
@@ -72,3 +73,25 @@ func (e *ErrCorrupted) Error() string {
 
 // Unwrap makes errors.Is(err, ErrCorrupt) match.
 func (e *ErrCorrupted) Unwrap() error { return ErrCorrupt }
+
+// ErrGeometry reports a volume geometry whose segment usage table does
+// not fit in one partial-segment write, which a correct checkpoint needs:
+// a table split across writes misses the later writes' accounting.
+type ErrGeometry struct {
+	UsageBlocks int // blocks the segment usage table needs
+	MaxBlocks   int // blocks one partial write can carry
+}
+
+func (e *ErrGeometry) Error() string {
+	return fmt.Sprintf("lfs: segment usage table needs %d blocks, one partial write carries at most %d", e.UsageBlocks, e.MaxBlocks)
+}
+
+// checkGeometry returns *ErrGeometry unless the usage table of nsegs
+// segments fits in one partial write of a segBlocks-block segment.
+func checkGeometry(segBlocks, nsegs int64) error {
+	usageBlocks := int((nsegs + layout.SegUsagePerBlock - 1) / layout.SegUsagePerBlock)
+	if room := writeRoom(segBlocks, 0); usageBlocks > room {
+		return &ErrGeometry{UsageBlocks: usageBlocks, MaxBlocks: room}
+	}
+	return nil
+}

@@ -596,22 +596,18 @@ func TestPerBlockAgesInSummaries(t *testing.T) {
 	// Find the data entries in the head segment's summaries.
 	start := fs.segStart(fs.head)
 	ages := map[uint64]bool{}
-	off := int64(0)
-	for off <= fs.segBlocks-2 {
-		buf, err := d.Peek(start + off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			break
-		}
-		for _, e := range s.Entries {
-			if e.Kind == layout.KindData {
-				ages[e.Age] = true
+	read := func(off int64) ([]byte, error) { return d.Peek(start + off) }
+	_, stop, err := layout.WalkSegment(fs.segBlocks, 0, read, &layout.Summary{}, layout.SeqIncreasing(),
+		func(_ int64, s *layout.Summary) error {
+			for _, e := range s.Entries {
+				if e.Kind == layout.KindData {
+					ages[e.Age] = true
+				}
 			}
-		}
-		off += 1 + int64(len(s.Entries))
+			return nil
+		})
+	if stop == layout.WalkReadError {
+		t.Fatal(err)
 	}
 	if !ages[100] || !ages[900] {
 		t.Fatalf("summary data ages = %v, want both 100 and 900", ages)

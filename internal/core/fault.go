@@ -87,38 +87,21 @@ func (fs *FS) lookupBlockSum(addr int64) (sum uint32, ok bool, err error) {
 }
 
 // harvestSegSums walks the summary chain of seg from offset 0, recording
-// the per-block checksum of every described block. The walk mirrors
-// VerifyLog: it ends at a summary that fails to decode, a WriteSeq
-// regression (the stale tail of a reused segment), or an entry count
-// that escapes the segment. Reads bypass the read cache — summaries are
-// not file data. Called with sumsMu held.
+// the per-block checksum of every described block. Reads bypass the read
+// cache — summaries are not file data. Called with sumsMu held.
 func (fs *FS) harvestSegSums(seg int64) error {
 	start := fs.segStart(seg)
-	var prevSeq uint64
-	first := true
-	for off := int64(0); off < fs.segBlocks-1; {
-		buf, err := fs.readBlockRetry(start + off)
-		if err != nil {
-			return err
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			break
-		}
-		if !first && s.WriteSeq <= prevSeq {
-			break
-		}
-		first, prevSeq = false, s.WriteSeq
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
-		for i, e := range s.Entries {
-			fs.blockSums[start+off+1+int64(i)] = e.Sum
-		}
-		off += 1 + n
-	}
-	return nil
+	s := fs.getSummaryScratch()
+	defer fs.putSummaryScratch(s)
+	read := func(off int64) ([]byte, error) { return fs.readBlockRetry(start + off) }
+	_, _, err := layout.WalkSegment(fs.segBlocks, 0, read, s, layout.SeqIncreasing(),
+		func(off int64, s *layout.Summary) error {
+			for i, e := range s.Entries {
+				fs.blockSums[start+off+1+int64(i)] = e.Sum
+			}
+			return nil
+		})
+	return err // only a read error: every other stop ends the chain
 }
 
 // verifyBlock checks a block just read from addr against the checksum

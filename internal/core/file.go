@@ -406,9 +406,11 @@ func (fs *FS) dropBlocksFrom(mi *mInode, keep uint32) error {
 		if err := fs.ensureMapSlot(mi, bn); err != nil {
 			return err
 		}
-		if _, err := fs.setBlockAddr(mi, bn, layout.NilAddr); err != nil {
+		slot, err := fs.blockSlot(mi, bn)
+		if err != nil {
 			return err
 		}
+		*slot = layout.NilAddr
 	}
 	// Release indirect blocks that are now entirely unused.
 	if keep <= firstIndirect && (mi.ino.Indirect != layout.NilAddr || mi.indLoaded) {

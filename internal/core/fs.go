@@ -266,6 +266,9 @@ func Format(dev *disk.Disk, opts Options) (*FS, error) {
 	if nsegs < 4 {
 		return nil, fmt.Errorf("lfs: device too small: %d segments", nsegs)
 	}
+	if err := checkGeometry(int64(opts.SegmentBlocks), nsegs); err != nil {
+		return nil, err
+	}
 	sb := &layout.Superblock{
 		Version:          1,
 		BlockSize:        layout.BlockSize,
@@ -499,6 +502,18 @@ func (fs *FS) decLive(addr int64) error {
 		return nil
 	}
 	return fs.usage.addLive(seg, -layout.BlockSize)
+}
+
+// repoint stores addr in the block pointer at slot and records the death
+// of the block it pointed at before, if any. It is the placement step of
+// every staged block that one pointer refers to.
+func (fs *FS) repoint(slot *int64, addr int64) error {
+	old := *slot
+	*slot = addr
+	if old == layout.NilAddr {
+		return nil
+	}
+	return fs.decLive(old)
 }
 
 // decInoBlockRef drops one inode reference on the packed inode block at

@@ -246,34 +246,28 @@ func (fs *FS) ensureMapSlot(mi *mInode, bn uint32) error {
 	}
 }
 
-// setBlockAddr points file block bn at addr and returns the previous
+// blockSlot returns the pointer that maps file block bn to its disk
 // address. The needed structures must have been materialized by
 // ensureMapSlot.
-func (fs *FS) setBlockAddr(mi *mInode, bn uint32, addr int64) (old int64, err error) {
+func (fs *FS) blockSlot(mi *mInode, bn uint32) (*int64, error) {
 	switch {
 	case bn < firstIndirect:
-		old = mi.ino.Direct[bn]
-		mi.ino.Direct[bn] = addr
-		return old, nil
+		return &mi.ino.Direct[bn], nil
 	case bn < firstDIndirect:
 		if !mi.indLoaded {
-			return 0, fmt.Errorf("%w: indirect block for bn %d not materialized", ErrCorrupt, bn)
+			return nil, fmt.Errorf("%w: indirect block for bn %d not materialized", ErrCorrupt, bn)
 		}
-		old = mi.ind[bn-firstIndirect]
-		mi.ind[bn-firstIndirect] = addr
-		return old, nil
+		return &mi.ind[bn-firstIndirect], nil
 	case uint64(bn) < uint64(layout.MaxFileBlocks):
 		rel := int(bn - firstDIndirect)
 		i := rel / layout.PointersPerBlock
 		l2, ok := mi.dindL2[i]
 		if !ok {
-			return 0, fmt.Errorf("%w: level-2 block %d for bn %d not materialized", ErrCorrupt, i, bn)
+			return nil, fmt.Errorf("%w: level-2 block %d for bn %d not materialized", ErrCorrupt, i, bn)
 		}
-		old = l2[rel%layout.PointersPerBlock]
-		l2[rel%layout.PointersPerBlock] = addr
-		return old, nil
+		return &l2[rel%layout.PointersPerBlock], nil
 	default:
-		return 0, ErrFileTooBig
+		return nil, ErrFileTooBig
 	}
 }
 

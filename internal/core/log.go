@@ -87,26 +87,27 @@ func (fs *FS) popFreeSeg() int64 {
 	return layout.NilAddr
 }
 
+// writeRoom is the most blocks one partial write can carry at block
+// offset off of a segBlocks-block segment: the room left after its
+// summary, capped by the entries one summary can describe.
+func writeRoom(segBlocks, off int64) int {
+	return min(int(segBlocks-off)-1, layout.MaxSummaryEntries)
+}
+
 // flushPending writes every staged block to the log in one or more
 // partial-segment writes, each led by a segment summary block
 // (Section 3.2). Each partial write is a single contiguous device write,
 // which is what lets the log use nearly the full disk bandwidth.
 func (fs *FS) flushPending() error {
 	for len(fs.pending) > 0 {
-		space := fs.segBlocks - fs.headOff
-		if space < 2 {
+		room := writeRoom(fs.segBlocks, fs.headOff)
+		if room < 1 {
 			if err := fs.advanceSegment(); err != nil {
 				return err
 			}
 			continue
 		}
-		n := len(fs.pending)
-		if room := int(space) - 1; n > room {
-			n = room
-		}
-		if n > layout.MaxSummaryEntries {
-			n = layout.MaxSummaryEntries
-		}
+		n := min(len(fs.pending), room)
 		batch := fs.pending[:n]
 		fs.pending = fs.pending[n:]
 
@@ -457,14 +458,11 @@ func (fs *FS) stageDataBlocks() error {
 			pooled: true, // dcache buffers are pooled; reclaimed post-write
 			age:    mi.ino.Mtime,
 			placed: func(addr int64) error {
-				old, err := fs.setBlockAddr(mi, k.bn, addr)
+				slot, err := fs.blockSlot(mi, k.bn)
 				if err != nil {
 					return err
 				}
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
+				return fs.repoint(slot, addr)
 			},
 		})
 	}
@@ -492,14 +490,7 @@ func (fs *FS) stageIndirectBlocks() error {
 				encode: func() ([]byte, error) {
 					return layout.EncodeIndirectBlock(mi.dindL2[i])
 				},
-				placed: func(addr int64) error {
-					old := mi.dindTop[i]
-					mi.dindTop[i] = addr
-					if old != layout.NilAddr {
-						return fs.decLive(old)
-					}
-					return nil
-				},
+				placed: func(addr int64) error { return fs.repoint(&mi.dindTop[i], addr) },
 			})
 			mi.dindL2Dirty[i] = false
 		}
@@ -510,14 +501,7 @@ func (fs *FS) stageIndirectBlocks() error {
 				encode: func() ([]byte, error) {
 					return layout.EncodeIndirectBlock(mi.dindTop)
 				},
-				placed: func(addr int64) error {
-					old := mi.ino.DIndir
-					mi.ino.DIndir = addr
-					if old != layout.NilAddr {
-						return fs.decLive(old)
-					}
-					return nil
-				},
+				placed: func(addr int64) error { return fs.repoint(&mi.ino.DIndir, addr) },
 			})
 			mi.dindTopDirty = false
 		}
@@ -528,14 +512,7 @@ func (fs *FS) stageIndirectBlocks() error {
 				encode: func() ([]byte, error) {
 					return layout.EncodeIndirectBlock(mi.ind)
 				},
-				placed: func(addr int64) error {
-					old := mi.ino.Indirect
-					mi.ino.Indirect = addr
-					if old != layout.NilAddr {
-						return fs.decLive(old)
-					}
-					return nil
-				},
+				placed: func(addr int64) error { return fs.repoint(&mi.ino.Indirect, addr) },
 			})
 			mi.indDirty = false
 		}

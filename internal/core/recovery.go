@@ -27,6 +27,9 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkGeometry(int64(sb.SegmentBlocks), int64(sb.NumSegments)); err != nil {
+		return nil, err
+	}
 	// Geometry comes from the superblock, not the caller.
 	opts.SegmentBlocks = int(sb.SegmentBlocks)
 	opts.MaxInodes = int(sb.MaxInodes)
@@ -308,46 +311,9 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 	if nv := fs.opts.NVRAM; nv != nil && nv.Pending() > 0 {
 		limit = fs.scanFlushBoundary(cp)
 	}
-	expected := cp.WriteSeq
-	seg := cp.HeadSeg
-	off := int64(cp.HeadOffset)
-	next := cp.NextSeg
 	var dirops []*layout.DirOp
-
-	for {
-		if off > fs.segBlocks-2 {
-			if next == layout.NilAddr {
-				break
-			}
-			seg = next
-			off = 0
-			fs.recomputeSegs[seg] = true
-			continue
-		}
-		if expected >= limit {
-			break // torn flush group: NVRAM replay re-derives it
-		}
-		sumAddr := fs.segStart(seg) + off
-		sumBuf, err := fs.readBlockRetry(sumAddr)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				// The scan cannot tell whether the log continued past the
-				// unreadable summary: committed writes may be stranded
-				// beyond it. Stop here and degrade rather than silently
-				// truncate the log.
-				fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", sumAddr, err))
-				break
-			}
-			return nil, err
-		}
-		s, err := layout.DecodeSummary(sumBuf)
-		if err != nil || s.WriteSeq != expected {
-			break // end of the recoverable log
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+	enter := func(seg int64) { fs.recomputeSegs[seg] = true }
+	pos, stop, err := fs.walkLog(cp, limit, enter, func(seg, off int64, s *layout.Summary) error {
 		// The log writer persists a partial write's data before its
 		// summary, so a valid summary implies complete data: only the
 		// inode and directory-log blocks need to be read. This is what
@@ -355,72 +321,114 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 		// recovered rather than the volume of data (Table 3). The
 		// summary's per-block checksums are harvested along the way so
 		// later reads of these blocks verify without a chain walk.
-		unreadable := false
+		sumAddr := fs.segStart(seg) + off
 		for i, e := range s.Entries {
 			addr := sumAddr + 1 + int64(i)
 			fs.recordBlockSum(addr, e.Sum)
-			switch e.Kind {
-			case layout.KindInode:
-				block, err := fs.readBlockRetry(addr)
-				if err != nil {
-					if errors.Is(err, disk.ErrMediaRead) {
-						fs.degrade("roll-forward", fmt.Sprintf("roll-forward inode block at %d unreadable: %v", addr, err))
-						unreadable = true
-						break
-					}
-					return nil, err
+			if e.Kind != layout.KindInode && e.Kind != layout.KindDirLog {
+				// Data, indirect, imap and usage blocks need no direct
+				// action: inodes incorporate data and indirect blocks,
+				// and the checkpoint regions are the authority for map
+				// blocks.
+				continue
+			}
+			block, err := fs.readBlockRetry(addr)
+			if err != nil {
+				if errors.Is(err, disk.ErrMediaRead) {
+					fs.degrade("roll-forward", fmt.Sprintf("roll-forward %s block at %d unreadable: %v", e.Kind, addr, err))
+					return layout.StopWalk
 				}
+				return err
+			}
+			if e.Kind == layout.KindInode {
 				if err := fs.recoverInodeBlock(addr, block); err != nil {
-					return nil, err
+					return err
 				}
-			case layout.KindDirLog:
-				block, err := fs.readBlockRetry(addr)
-				if err != nil {
-					if errors.Is(err, disk.ErrMediaRead) {
-						fs.degrade("roll-forward", fmt.Sprintf("roll-forward dirlog block at %d unreadable: %v", addr, err))
-						unreadable = true
-						break
-					}
-					return nil, err
-				}
-				ops, err := layout.DecodeDirOpLog(block)
-				if err != nil {
-					return nil, fmt.Errorf("roll-forward dirlog at %d: %w", addr, err)
-				}
-				for _, op := range ops {
-					if op.Seq >= cp.DirLogSeq {
-						dirops = append(dirops, op)
-						if op.Seq >= fs.dirLogSeq {
-							fs.dirLogSeq = op.Seq + 1
-						}
+				continue
+			}
+			ops, err := layout.DecodeDirOpLog(block)
+			if err != nil {
+				return fmt.Errorf("roll-forward dirlog at %d: %w", addr, err)
+			}
+			for _, op := range ops {
+				if op.Seq >= cp.DirLogSeq {
+					dirops = append(dirops, op)
+					if op.Seq >= fs.dirLogSeq {
+						fs.dirLogSeq = op.Seq + 1
 					}
 				}
 			}
-			// Data, indirect, imap and usage blocks need no direct
-			// action: inodes incorporate data and indirect blocks, and
-			// the checkpoint regions are the authority for map blocks.
-			if unreadable {
-				break
-			}
 		}
-		if unreadable {
-			break
-		}
-
 		fs.usage.noteWrite(seg, s.Timestamp)
 		if s.Timestamp > fs.ticks.Load() {
 			fs.ticks.Store(s.Timestamp)
 		}
-		next = s.NextSeg
-		expected++
-		off += 1 + n
+		return nil
+	})
+	switch stop {
+	case layout.WalkReadError:
+		if !errors.Is(err, disk.ErrMediaRead) {
+			return nil, err
+		}
+		// The scan cannot tell whether the log continued past the
+		// unreadable summary: committed writes may be stranded beyond
+		// it. Stop here and degrade rather than silently truncate the
+		// log.
+		fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", fs.segStart(pos.seg)+pos.off, err))
+	case layout.WalkHalted:
+		if err != nil {
+			return nil, err
+		}
+		// An unreadable inode or dirlog block already degraded.
+	default:
+		// The end of the recoverable log. A torn flush group past the
+		// NVRAM flush boundary is discarded: replay re-derives it.
 	}
 
-	fs.writeSeq = expected
-	fs.head = seg
-	fs.headOff = off
-	fs.nextSeg = next
+	fs.writeSeq = pos.seq
+	fs.head = pos.seg
+	fs.headOff = pos.off
+	fs.nextSeg = pos.next
 	return dirops, nil
+}
+
+// logPos is a position in the log: the segment and offset of the next
+// summary, the segment after this one, and the next summary's WriteSeq.
+type logPos struct {
+	seg, off, next int64
+	seq            uint64
+}
+
+// walkLog follows the log written since checkpoint cp, with WriteSeq
+// cp.WriteSeq, cp.WriteSeq+1, ... below limit, across segments through
+// each summary's NextSeg. fn sees each summary in order; enter, when
+// non-nil, sees each segment the walk moves into.
+func (fs *FS) walkLog(cp *layout.Checkpoint, limit uint64, enter func(seg int64),
+	fn func(seg, off int64, s *layout.Summary) error) (logPos, layout.WalkStop, error) {
+	pos := logPos{seg: cp.HeadSeg, off: int64(cp.HeadOffset), next: cp.NextSeg, seq: cp.WriteSeq}
+	s := fs.getSummaryScratch()
+	defer fs.putSummaryScratch(s)
+	for {
+		start := fs.segStart(pos.seg)
+		read := func(off int64) ([]byte, error) { return fs.readBlockRetry(start + off) }
+		off, stop, err := layout.WalkSegment(fs.segBlocks, pos.off, read, s, layout.SeqExact(pos.seq, limit),
+			func(off int64, s *layout.Summary) error {
+				if err := fn(pos.seg, off, s); err != nil {
+					return err
+				}
+				pos.next = s.NextSeg
+				pos.seq++
+				return nil
+			})
+		pos.off = off
+		if stop != layout.WalkEnd || pos.next == layout.NilAddr {
+			return pos, stop, err
+		}
+		pos.seg, pos.off = pos.next, 0
+		if enter != nil {
+			enter(pos.seg)
+		}
+	}
 }
 
 // scanFlushBoundary walks the post-checkpoint summary chain without
@@ -435,43 +443,18 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 // silently drop acknowledged data and replay the remaining NVRAM records
 // against a stale namespace. The scan instead lifts the bound entirely,
 // so the applying scan walks up to the same unreadable summary and takes
-// its degrade path, exactly as the no-NVRAM model does.
+// its degrade path, exactly as the no-NVRAM model does. Any other stop
+// ends the boundary scan; the applying scan diagnoses it.
 func (fs *FS) scanFlushBoundary(cp *layout.Checkpoint) uint64 {
-	expected := cp.WriteSeq
-	seg := cp.HeadSeg
-	off := int64(cp.HeadOffset)
-	next := cp.NextSeg
 	limit := cp.WriteSeq
-	for {
-		if off > fs.segBlocks-2 {
-			if next == layout.NilAddr {
-				break
-			}
-			seg = next
-			off = 0
-			continue
-		}
-		sumBuf, err := fs.readBlockRetry(fs.segStart(seg) + off)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				return math.MaxUint64 // boundary undeterminable; degrade at the fault
-			}
-			break // the applying scan will diagnose
-		}
-		s, err := layout.DecodeSummary(sumBuf)
-		if err != nil || s.WriteSeq != expected {
-			break
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+	_, stop, err := fs.walkLog(cp, math.MaxUint64, nil, func(_, _ int64, s *layout.Summary) error {
 		if s.Flags&layout.SummaryFlagTxnEnd != 0 {
-			limit = expected + 1
+			limit = s.WriteSeq + 1
 		}
-		next = s.NextSeg
-		expected++
-		off += 1 + n
+		return nil
+	})
+	if stop == layout.WalkReadError && errors.Is(err, disk.ErrMediaRead) {
+		return math.MaxUint64 // boundary undeterminable; degrade at the fault
 	}
 	return limit
 }
@@ -768,40 +751,36 @@ func (fs *FS) repairNlink(inum, version uint32, nlink uint16) error {
 // fs.recomputeSegs by walking its summary chain and liveness-checking
 // every block against the recovered metadata.
 func (fs *FS) recomputeUsage() error {
+	s := fs.getSummaryScratch()
+	defer fs.putSummaryScratch(s)
 	for seg := range fs.recomputeSegs {
 		start := fs.segStart(seg)
 		var liveBlocks int64
-		off := int64(0)
-		for off <= fs.segBlocks-2 {
-			buf, err := fs.readBlockRetry(start + off)
-			if err != nil {
-				if errors.Is(err, disk.ErrMediaRead) {
-					fs.degrade("usage-recompute", fmt.Sprintf("usage recomputation: summary at %d unreadable: %v", start+off, err))
-					break
+		read := func(off int64) ([]byte, error) { return fs.readBlockRetry(start + off) }
+		end, stop, err := layout.WalkSegment(fs.segBlocks, 0, read, s, layout.SeqIncreasing(),
+			func(off int64, s *layout.Summary) error {
+				for i, e := range s.Entries {
+					live, err := fs.blockLive(e, start+off+1+int64(i))
+					if err != nil {
+						return err
+					}
+					if live {
+						liveBlocks++
+					}
 				}
+				return nil
+			})
+		switch stop {
+		case layout.WalkReadError:
+			if !errors.Is(err, disk.ErrMediaRead) {
 				return err
 			}
-			s, err := layout.DecodeSummary(buf)
-			if err != nil {
-				break
-			}
-			n := int64(len(s.Entries))
-			if n == 0 || off+1+n > fs.segBlocks {
-				break
-			}
-			for i, e := range s.Entries {
-				live, err := fs.blockLive(e, start+off+1+int64(i))
-				if err != nil {
-					return err
-				}
-				if live {
-					liveBlocks++
-				}
-			}
-			off += 1 + n
+			fs.degrade("usage-recompute", fmt.Sprintf("usage recomputation: summary at %d unreadable: %v", start+end, err))
+		case layout.WalkHalted:
+			return err
 		}
 		fs.usage.entries[seg].LiveBytes = uint32(liveBlocks * layout.BlockSize)
-		if off > 0 {
+		if end > 0 {
 			fs.usage.entries[seg].Flags |= layout.SegFlagDirty
 		}
 	}

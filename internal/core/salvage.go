@@ -267,36 +267,15 @@ func (fs *FS) salvageReset() {
 // salvageScanSeg walks one segment's summary chain, verifying every
 // described block against its recorded CRC. Verified blocks join the
 // intact set (and the verify-on-read index); inode blocks additionally
-// contribute version candidates. The walk mirrors harvestSegSums: it
-// ends at a summary that fails to decode, a WriteSeq regression (the
-// stale tail of a reused segment), or an entry count escaping the
-// segment. Media read errors quarantine the segment; checksum
-// mismatches only drop the block (deliberate corruption is not evidence
-// the medium is bad).
+// contribute version candidates. Media read errors quarantine the
+// segment; checksum mismatches only drop the block (deliberate
+// corruption is not evidence the medium is bad).
 func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport) {
 	start := fs.segStart(seg)
-	var prevSeq uint64
-	first := true
-	for off := int64(0); off <= fs.segBlocks-2; {
-		buf, err := fs.readBlockRetry(start + off)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				fs.quarantineSeg(seg)
-			}
-			return
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			return
-		}
-		if !first && s.WriteSeq <= prevSeq {
-			return
-		}
-		first, prevSeq = false, s.WriteSeq
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			return
-		}
+	s := fs.getSummaryScratch()
+	defer fs.putSummaryScratch(s)
+	read := func(off int64) ([]byte, error) { return fs.readBlockRetry(start + off) }
+	_, stop, err := layout.WalkSegment(fs.segBlocks, 0, read, s, layout.SeqIncreasing(), func(off int64, s *layout.Summary) error {
 		rep.SummariesWalked++
 		if s.WriteSeq > sc.maxSeq {
 			sc.maxSeq = s.WriteSeq
@@ -349,7 +328,10 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport) {
 				}
 			}
 		}
-		off += 1 + n
+		return nil
+	})
+	if stop == layout.WalkReadError && errors.Is(err, disk.ErrMediaRead) {
+		fs.quarantineSeg(seg)
 	}
 }
 

@@ -79,6 +79,11 @@ type ScrubError = core.ScrubError
 // listed in scrub reports.
 type ErrCorrupted = core.ErrCorrupted
 
+// ErrGeometry is returned by Format and Mount for a volume whose segment
+// usage table cannot be written in one partial-segment write, which a
+// correct checkpoint needs.
+type ErrGeometry = core.ErrGeometry
+
 // Fault describes one injected media fault on the simulated disk; see
 // (*Disk).InjectFault. Faults model media damage, so they survive
 // (*Disk).Reopen.
